@@ -3,12 +3,15 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"hash"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"robustify/internal/fpu"
 	"robustify/internal/fpu/faultmodel"
 	"robustify/internal/harness"
 )
@@ -52,7 +55,75 @@ func TestDefaultModelWorkloadPins(t *testing.T) {
 			t.Errorf("%s: trial value 0x%016x, want pinned 0x%016x", wl, got, want)
 		}
 	}
+
+	// Dense-rate pins. At rate 0.5 fault gaps are 1 to 3 ops, so faults
+	// often land back to back, and sorting puts many of them on the
+	// compare path (Less). A sort trial's value is a 0/1
+	// success flag, so the pin is a digest of every trial value and every
+	// fault the unit delivered (class, FLOP ordinal, flip mask), plus the
+	// unit's counters, over consecutive seeds from 777.
+	dense := []struct {
+		wl            string
+		trials        int
+		digest        uint64
+		flops, faults uint64
+	}{
+		{"sort/robust", 1, 0x7e77c5d75783099a, 1874472, 937495},
+		{"sort/base", 64, 0x93fb0d53330a2e03, 401, 186},
+	}
+	for _, p := range dense {
+		w, err := WorkloadByName(p.wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := faultDigest{fnv.New64a()}
+		var units []*fpu.Unit
+		fn := w.Build(w.DefaultIters, w.DefaultParams(), func(rate float64, seed uint64) *fpu.Unit {
+			u := (*faultmodel.Spec)(nil).Unit(rate, seed)
+			u.SetObserver(d)
+			units = append(units, u)
+			return u
+		})
+		for i := 0; i < p.trials; i++ {
+			d.word(math.Float64bits(fn(0.5, 777+uint64(i))))
+		}
+		var flops, faults uint64
+		for _, u := range units {
+			flops += u.FLOPs()
+			faults += u.Faults()
+		}
+		if got := d.h.Sum64(); got != p.digest || flops != p.flops || faults != p.faults {
+			t.Errorf("%s @ 0.5: digest %#016x flops %d faults %d, want pinned %#016x / %d / %d",
+				p.wl, got, flops, faults, p.digest, p.flops, p.faults)
+		}
+	}
 }
+
+// faultDigest is an fpu.Observer hashing a unit's fault stream: every
+// corrupted result and inverted compare, in delivery order.
+type faultDigest struct{ h hash.Hash64 }
+
+func (d faultDigest) word(v uint64) {
+	var b [8]byte
+	for i := range b {
+		b[i] = byte(v >> (8 * i))
+	}
+	d.h.Write(b[:])
+}
+
+func (d faultDigest) FaultInjected(op fpu.Op, flop, flipped uint64) {
+	d.word(uint64(op))
+	d.word(flop)
+	d.word(flipped)
+}
+
+func (d faultDigest) CompareFault(flop uint64) {
+	d.word(uint64(fpu.OpCmp))
+	d.word(flop)
+}
+
+func (d faultDigest) MemoryFaults(int, uint64) {}
+func (d faultDigest) IterationMark()           {}
 
 // TestFaultModelCampaignsDeterministic: every model family run through the
 // campaign engine twice from fresh stores produces byte-identical tables.

@@ -18,11 +18,11 @@ const defaultBurstLen = 64
 // fpu.VoltageModel's error-rate curve, where roughly half of all results
 // miss timing.
 //
-// The closed/open phases map directly onto the kernel fast path: a closed
-// phase is one long safe run (SafeOps = ops left in the phase), while an
-// open phase reports SafeOps 0 so every in-window op routes through
-// Fire's Bernoulli draw. The gap length is sized so the long-run fault
-// rate still equals the sweep's configured rate:
+// The closed/open phases map directly onto the Unit's safe counter: a
+// closed phase is one long safe run (Step hands out the ops left in the
+// phase), while an open window hands out none, so every in-window op
+// routes through Step's Bernoulli draw. The gap length is sized so the
+// long-run fault rate still equals the sweep's configured rate:
 //
 //	rate = prob · meanLen / (meanLen + meanGap)
 //	  ⇒ meanGap = meanLen · (prob/rate − 1)
@@ -35,7 +35,8 @@ type burstModel struct {
 	rng     *fpu.LFSR
 
 	// open reports whether the voltage window is currently drooped; left
-	// is how many operations remain in the current phase. The model
+	// is how many operations remain in the current phase, or 0 once Step
+	// has handed a closed phase's rest out as a safe run. The model
 	// starts closed so low rates keep the default model's long fault-free
 	// run-up.
 	open     bool
@@ -106,57 +107,42 @@ func (b *burstModel) advance() {
 	}
 }
 
-// Fire accounts one operation and reports whether its result is
+// Step accounts one operation and reports whether its result is
 // corrupted: never during a closed (nominal-voltage) phase, and with
-// probability prob during an open window.
+// probability prob during an open window. When the operation leaves the
+// model in a closed phase, the rest of that phase is the safe run: Step
+// hands it out and marks the phase spent (left 0). The next window opens
+// only at the next Step, which draws its length first. Drawing it here
+// instead would put the draw before the Corrupt of this operation and
+// shift the LFSR stream; at the next Step it lands exactly where the
+// phase's last operation would have drawn it (closed-phase operations
+// draw nothing).
 //
 //lint:fpu-exempt fault-model mechanism: the Bernoulli threshold compare is scheduler state, not simulated application math
-func (b *burstModel) Fire() bool {
+func (b *burstModel) Step() (hit bool, safe uint64) {
 	if b.rate <= 0 {
-		return false
+		return false, math.MaxUint64
 	}
-	hit := b.open && b.rng.Float64() < b.prob
+	if b.left == 0 {
+		b.left = 1
+		b.advance()
+	}
+	hit = b.open && b.rng.Float64() < b.prob
 	if hit {
 		b.injected++
 	}
 	b.advance()
-	return hit
+	if b.open {
+		return hit, 0
+	}
+	safe, b.left = b.left, 0
+	return hit, safe
 }
 
 // Corrupt flips one distribution-drawn bit of v — the same emulated
 // timing-fault histogram as the default model, since burst faults are the
 // same physical mechanism arriving in clusters.
 func (b *burstModel) Corrupt(v float64) float64 {
-	bit := b.dist.Sample(b.rng.Float64())
+	bit := b.dist.SampleWord(b.rng.Uint64())
 	return math.Float64frombits(math.Float64bits(v) ^ (1 << uint(bit)))
-}
-
-// SafeOps reports the remainder of a closed phase as guaranteed
-// fault-free; inside an open window every operation is at risk.
-func (b *burstModel) SafeOps() uint64 {
-	if b.rate <= 0 {
-		return math.MaxUint64
-	}
-	if b.open {
-		return 0
-	}
-	return b.left
-}
-
-// ConsumeSafe accounts n fault-free operations, n ≤ SafeOps. Emptying the
-// closed phase opens the next window, exactly as n individual Fire calls
-// would (closed-phase Fire calls draw nothing from the LFSR until the
-// phase flips, so consuming in bulk stays bit-identical).
-func (b *burstModel) ConsumeSafe(n uint64) {
-	if b.rate <= 0 || n == 0 {
-		return
-	}
-	if n < b.left {
-		b.left -= n
-		return
-	}
-	// n == b.left: the closed phase is fully retired and the next window
-	// opens, drawing its length exactly as the nth Fire call would.
-	b.left = 1
-	b.advance()
 }

@@ -1,6 +1,8 @@
 package faultmodel
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -146,7 +148,9 @@ func TestSeedsDiffer(t *testing.T) {
 // TestScalarBatchedIdentity checks the FaultModel contract's core clause:
 // a batched kernel must be bit-identical to the equivalent scalar-method
 // loop under the same model and seed — same LFSR draws, same flipped
-// bits, same counters — for every model family.
+// bits, same counters — for every model family. Rates 0.5 and 1 cover
+// the dense schedules: gaps of one or two ops, and at rate 1 a fault on
+// every op with no gap draw at all.
 func TestScalarBatchedIdentity(t *testing.T) {
 	n := 257
 	a := make([]float64, n)
@@ -156,48 +160,97 @@ func TestScalarBatchedIdentity(t *testing.T) {
 		b[i] = 0.75*float64(i%23) + 0.125
 	}
 	for _, spec := range specs() {
-		name := spec.ModelName()
-		for _, seed := range []uint64{3, 77, 900001} {
-			batched := spec.Unit(0.08, seed)
-			scalar := spec.Unit(0.08, seed)
+		for _, rate := range []float64{0.08, 0.5, 1} {
+			name := fmt.Sprintf("%s@%g", spec.ModelName(), rate)
+			for _, seed := range []uint64{3, 77, 900001} {
+				batched := spec.Unit(rate, seed)
+				scalar := spec.Unit(rate, seed)
 
-			gotDot := batched.Dot(a, b)
-			wantDot := 0.0
-			for i := 0; i < n; i++ {
-				wantDot = scalar.Add(wantDot, scalar.Mul(a[i], b[i]))
-			}
-			if math.Float64bits(gotDot) != math.Float64bits(wantDot) {
-				t.Errorf("%s seed %d: Dot %x != scalar loop %x", name, seed,
-					math.Float64bits(gotDot), math.Float64bits(wantDot))
-			}
+				gotDot := batched.Dot(a, b)
+				wantDot := 0.0
+				for i := 0; i < n; i++ {
+					wantDot = scalar.Add(wantDot, scalar.Mul(a[i], b[i]))
+				}
+				if math.Float64bits(gotDot) != math.Float64bits(wantDot) {
+					t.Errorf("%s seed %d: Dot %x != scalar loop %x", name, seed,
+						math.Float64bits(gotDot), math.Float64bits(wantDot))
+				}
 
-			yb := append([]float64(nil), b...)
-			ys := append([]float64(nil), b...)
-			batched.Axpy(0.5, a, yb)
-			for i := 0; i < n; i++ {
-				ys[i] = scalar.Add(ys[i], scalar.Mul(0.5, a[i]))
-			}
-			for i := range yb {
-				if math.Float64bits(yb[i]) != math.Float64bits(ys[i]) {
-					t.Errorf("%s seed %d: Axpy[%d] %x != scalar %x", name, seed, i,
-						math.Float64bits(yb[i]), math.Float64bits(ys[i]))
-					break
+				yb := append([]float64(nil), b...)
+				ys := append([]float64(nil), b...)
+				batched.Axpy(0.5, a, yb)
+				for i := 0; i < n; i++ {
+					ys[i] = scalar.Add(ys[i], scalar.Mul(0.5, a[i]))
+				}
+				for i := range yb {
+					if math.Float64bits(yb[i]) != math.Float64bits(ys[i]) {
+						t.Errorf("%s seed %d: Axpy[%d] %x != scalar %x", name, seed, i,
+							math.Float64bits(yb[i]), math.Float64bits(ys[i]))
+						break
+					}
+				}
+
+				gotSum := batched.Sum(yb)
+				wantSum := 0.0
+				for i := 0; i < n; i++ {
+					wantSum = scalar.Add(wantSum, ys[i])
+				}
+				if math.Float64bits(gotSum) != math.Float64bits(wantSum) {
+					t.Errorf("%s seed %d: Sum %x != scalar loop %x", name, seed,
+						math.Float64bits(gotSum), math.Float64bits(wantSum))
+				}
+
+				if batched.FLOPs() != scalar.FLOPs() || batched.Faults() != scalar.Faults() {
+					t.Errorf("%s seed %d: counters diverged: flops %d/%d faults %d/%d", name, seed,
+						batched.FLOPs(), scalar.FLOPs(), batched.Faults(), scalar.Faults())
 				}
 			}
+		}
+	}
+}
 
-			gotSum := batched.Sum(yb)
-			wantSum := 0.0
-			for i := 0; i < n; i++ {
-				wantSum = scalar.Add(wantSum, ys[i])
+// TestModelOpStreamsPinned freezes every family's op stream at a sparse
+// and a dense rate: a digest of every value the mixed stream produces,
+// plus the unit's FLOP and fault counters, for each spec in specs().
+// Scalar/batched identity cannot see a change to a model's schedule or
+// corruption, because both paths share them, so this pin is what holds
+// each family to its recorded bits.
+func TestModelOpStreamsPinned(t *testing.T) {
+	type pin struct{ digest, flops, faults uint64 }
+	want := map[float64][]pin{
+		0.08: {
+			{0x05f12edcf65ac713, 1504, 129}, // default via nil
+			{0x05f12edcf65ac713, 1504, 129}, // default by name
+			{0x960746a32b0fea56, 1504, 129}, // stratified
+			{0x0be933fb68ff839f, 1504, 126}, // burst, len 32, prob 0.4
+			{0x5563758291a8d78c, 1504, 52},  // burst, defaults
+			{0x771f165c9d0cd6ee, 1504, 0},   // memory: faults land in stored words
+		},
+		0.5: {
+			{0xc05b19b5a2b47d18, 1504, 760},
+			{0xc05b19b5a2b47d18, 1504, 760},
+			{0x9a12c5d3a928f1ea, 1504, 760},
+			{0x5ea24da468ec083a, 1504, 580},
+			{0xf102db757b5a55b8, 1504, 722},
+			{0x443ddb960e7f6f31, 1504, 0},
+		},
+	}
+	for rate, pins := range want {
+		for i, spec := range specs() {
+			bits, flops, faults := stream(spec.Unit(rate, 2024))
+			h := fnv.New64a()
+			for _, b := range bits {
+				var buf [8]byte
+				for j := range buf {
+					buf[j] = byte(b >> (8 * j))
+				}
+				h.Write(buf[:])
 			}
-			if math.Float64bits(gotSum) != math.Float64bits(wantSum) {
-				t.Errorf("%s seed %d: Sum %x != scalar loop %x", name, seed,
-					math.Float64bits(gotSum), math.Float64bits(wantSum))
-			}
-
-			if batched.FLOPs() != scalar.FLOPs() || batched.Faults() != scalar.Faults() {
-				t.Errorf("%s seed %d: counters diverged: flops %d/%d faults %d/%d", name, seed,
-					batched.FLOPs(), scalar.FLOPs(), batched.Faults(), scalar.Faults())
+			got := pin{h.Sum64(), flops, faults}
+			if got != pins[i] {
+				t.Errorf("%s@%g (spec %d): got {%#016x, %d, %d}, want pinned {%#016x, %d, %d}",
+					spec.ModelName(), rate, i, got.digest, got.flops, got.faults,
+					pins[i].digest, pins[i].flops, pins[i].faults)
 			}
 		}
 	}

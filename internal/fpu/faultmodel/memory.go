@@ -7,15 +7,15 @@ import (
 )
 
 // memoryModel delivers memory-resident data faults: the FPU computes
-// exactly (Fire never reports a corruption, SafeOps is unbounded), but
-// bits flip in stored vectors between solver iterations. Solvers expose
-// their persistent state — iterates, residuals, search directions — via
-// fpu.Unit.CorruptSlice at iteration boundaries, and the model walks each
-// exposed slice word by word against an LFSR-spaced countdown, flipping
-// one uniformly chosen bit of each struck word. The sweep's rate is
-// reinterpreted as flips per word scanned, so a trial's fault pressure
-// scales with how much live state the solver carries, not with how many
-// FLOPs it issues.
+// exactly (Step never reports a corruption and hands out an unbounded
+// safe run), but bits flip in stored vectors between solver iterations.
+// Solvers expose their persistent state — iterates, residuals, search
+// directions — via fpu.Unit.CorruptSlice at iteration boundaries, and the
+// model walks each exposed slice word by word against an LFSR-spaced
+// countdown, flipping one uniformly chosen bit of each struck word. The
+// sweep's rate is reinterpreted as flips per word scanned, so a trial's
+// fault pressure scales with how much live state the solver carries, not
+// with how many FLOPs it issues.
 //
 // The countdown persists across CorruptSlice calls, making fault
 // placement deterministic per seed regardless of how the solver chops its
@@ -61,17 +61,12 @@ func (m *memoryModel) Rate() float64 { return m.rate }
 // Injected returns how many words the model has struck.
 func (m *memoryModel) Injected() uint64 { return m.injected }
 
-// Fire never corrupts: FLOPs are exact under this model.
-func (m *memoryModel) Fire() bool { return false }
+// Step never corrupts and reports every upcoming FPU operation as
+// fault-free: FLOPs are exact under this model.
+func (m *memoryModel) Step() (hit bool, safe uint64) { return false, math.MaxUint64 }
 
-// Corrupt is unreachable (Fire never reports true) but kept total.
+// Corrupt is unreachable (Step never reports a hit) but kept total.
 func (m *memoryModel) Corrupt(v float64) float64 { return v }
-
-// SafeOps reports every upcoming FPU operation as fault-free.
-func (m *memoryModel) SafeOps() uint64 { return math.MaxUint64 }
-
-// ConsumeSafe is a no-op: the FPU schedule never advances.
-func (m *memoryModel) ConsumeSafe(n uint64) {}
 
 // CorruptSlice scans the slice against the persistent word countdown,
 // flipping one uniformly drawn bit of every struck word.
@@ -83,7 +78,7 @@ func (m *memoryModel) CorruptSlice(xs []float64) {
 	for m.countdown <= rem {
 		rem -= m.countdown
 		idx := uint64(len(xs)) - rem - 1
-		bit := m.dist.Sample(m.rng.Float64())
+		bit := m.dist.SampleWord(m.rng.Uint64())
 		xs[idx] = math.Float64frombits(math.Float64bits(xs[idx]) ^ (1 << uint(bit)))
 		m.injected++
 		m.countdown = m.rng.UniformGap(1 / m.rate) //lint:fpu-exempt fault-model mechanism: gap draw arithmetic is scheduler state, not simulated application math

@@ -26,9 +26,9 @@
 //     fpu.MemoryFaulter hook solvers call at iteration boundaries. The
 //     sweep rate is reinterpreted as flips per word scanned.
 //
-// Every model is deterministic per seed and countdown-aware (the batched
-// kernels keep their fast path), and scalar/batched execution is
-// bit-identical under all of them.
+// Every model is deterministic per seed and hands the Unit its fault-free
+// runs through fpu.FaultModel.Step (the batched kernels keep their fast
+// path), and scalar/batched execution is bit-identical under all of them.
 package faultmodel
 
 import (

@@ -15,7 +15,7 @@ const (
 // position drawn from per-field class weights instead of the emulated
 // hardware histogram. It reuses the injector wholesale — only the bit
 // distribution and the advertised name differ — so it inherits the
-// countdown fast path and the scalar/batched equivalence proof for free.
+// injector's Step schedule and word-sampled Corrupt unchanged.
 type stratified struct {
 	*fpu.Injector
 }

@@ -8,7 +8,10 @@ const WordBits = 64
 // sampleBuckets is the size of the Sample lookup table. Each bucket
 // brackets the CDF region its slice of [0, 1) can land in, so most draws
 // resolve without a search.
-const sampleBuckets = 256
+const (
+	sampleBucketBits = 8
+	sampleBuckets    = 1 << sampleBucketBits
+)
 
 // BitDistribution is a probability distribution over the bit positions of an
 // IEEE-754 double word (bit 0 = mantissa LSB, bit 63 = sign). A fault flips
@@ -86,6 +89,21 @@ func (d *BitDistribution) Sample(u float64) int {
 		return lo
 	}
 	return d.search(u, lo, hi)
+}
+
+// SampleWord draws a bit position from a raw 64-bit random word, returning
+// exactly Sample(float64(w>>11)/(1<<53)) — the variate LFSR.Float64 would
+// build from w. The bucket index of that variate is w's top byte (scaling
+// by the power of two 256 is exact), so the lookup needs no float math;
+// only a bucket spanning several bits converts the word for the CDF
+// search.
+func (d *BitDistribution) SampleWord(w uint64) int {
+	k := w >> (WordBits - sampleBucketBits)
+	lo, hi := int(d.bucketLo[k]), int(d.bucketHi[k])
+	if lo == hi {
+		return lo
+	}
+	return d.search(float64(w>>11)/(1<<53), lo, hi)
 }
 
 // search returns the smallest bit index in [lo, hi] whose cumulative
@@ -259,9 +277,9 @@ func (in *Injector) reschedule() {
 	}
 }
 
-// Fire accounts one operation against the fault schedule and reports
+// fire accounts one operation against the fault schedule and reports
 // whether that operation's result is corrupted.
-func (in *Injector) Fire() bool {
+func (in *Injector) fire() bool {
 	if in.countdown == math.MaxUint64 {
 		return false
 	}
@@ -274,10 +292,23 @@ func (in *Injector) Fire() bool {
 	return true
 }
 
-// Apply passes one FPU result through the injector. It returns the possibly
+// Step accounts one operation, reports whether its result is corrupted,
+// and consumes the fault-free run after it: every operation before the
+// next countdown expiry.
+func (in *Injector) Step() (hit bool, safe uint64) {
+	hit = in.fire()
+	if in.countdown == math.MaxUint64 {
+		return hit, math.MaxUint64
+	}
+	safe, in.countdown = in.countdown-1, 1
+	return hit, safe
+}
+
+// Apply passes one FPU result through the injector, advancing the same
+// schedule Step does one operation at a time. It returns the possibly
 // corrupted value and whether a fault was delivered.
 func (in *Injector) Apply(v float64) (float64, bool) {
-	if !in.Fire() {
+	if !in.fire() {
 		return v, false
 	}
 	return in.Corrupt(v), true
@@ -285,22 +316,6 @@ func (in *Injector) Apply(v float64) (float64, bool) {
 
 // Corrupt flips one distribution-drawn bit of v.
 func (in *Injector) Corrupt(v float64) float64 {
-	bit := in.dist.Sample(in.rng.Float64())
+	bit := in.dist.SampleWord(in.rng.Uint64())
 	return math.Float64frombits(math.Float64bits(v) ^ (1 << uint(bit)))
-}
-
-// SafeOps returns how many upcoming operations are guaranteed fault-free:
-// everything before the scheduled countdown expiry.
-func (in *Injector) SafeOps() uint64 {
-	if in.countdown == math.MaxUint64 {
-		return math.MaxUint64
-	}
-	return in.countdown - 1
-}
-
-// ConsumeSafe accounts n fault-free operations against the countdown.
-func (in *Injector) ConsumeSafe(n uint64) {
-	if in.countdown != math.MaxUint64 {
-		in.countdown -= n
-	}
 }

@@ -68,6 +68,10 @@ type Unit struct {
 	model  FaultModel
 	obs    Observer
 	single bool
+	// safe is the fault-free run the model's last Step handed out: that
+	// many upcoming operations commit without consulting the model. It
+	// starts at zero, so a fresh unit's first operation asks the model.
+	safe uint64
 
 	flops    uint64
 	faults   uint64
@@ -217,7 +221,8 @@ func (u *Unit) SetOpEnergy(e float64) {
 	}
 }
 
-// Reset zeroes all counters. The injector, if any, keeps its state.
+// Reset zeroes all counters. The fault schedule (the model, if any, and
+// the unit's safe run) keeps its state.
 func (u *Unit) Reset() {
 	if u == nil {
 		return
@@ -258,13 +263,26 @@ func (u *Unit) commit(op Op, v float64) float64 {
 	if v != v {
 		v = canonNaN
 	}
-	if u.model.Fire() {
-		u.faults++
-		raw := v
-		v = u.model.Corrupt(v)
-		if u.obs != nil {
-			u.obs.FaultInjected(op, u.flops, math.Float64bits(raw)^math.Float64bits(v))
-		}
+	if u.safe > 0 {
+		u.safe--
+		return v
+	}
+	return u.atRisk(op, u.flops, v)
+}
+
+// atRisk routes the operation after a spent safe run through the model:
+// Step accounts it and refills the safe counter, and a hit corrupts v.
+// flop is the operation's 1-based ordinal, reported to the observer.
+func (u *Unit) atRisk(op Op, flop uint64, v float64) float64 {
+	var hit bool
+	if hit, u.safe = u.model.Step(); !hit {
+		return v
+	}
+	u.faults++
+	raw := v
+	v = u.model.Corrupt(v)
+	if u.obs != nil {
+		u.obs.FaultInjected(op, flop, math.Float64bits(raw)^math.Float64bits(v))
 	}
 	return v
 }
@@ -304,7 +322,15 @@ func (u *Unit) Less(a, b float64) bool {
 	u.flops++
 	u.perOp[OpCmp]++
 	u.energy += u.opEnergy
-	if u.model != nil && u.model.Fire() {
+	if u.model == nil {
+		return res
+	}
+	if u.safe > 0 {
+		u.safe--
+		return res
+	}
+	var hit bool
+	if hit, u.safe = u.model.Step(); hit {
 		u.faults++
 		res = !res
 		if u.obs != nil {

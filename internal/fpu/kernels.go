@@ -5,22 +5,23 @@ package fpu
 // The scalar methods (Add, Mul, …) pay one method call, one accounting
 // update, and one fault-schedule check per floating point operation, which
 // dominates the runtime of every figure sweep. The kernels below exploit
-// the fault model's schedule instead: FaultModel.SafeOps says exactly how
-// many upcoming operations are guaranteed fault-free, so between faults a
-// kernel runs a plain tight Go loop with no per-element dispatch, charges
-// FLOP and energy accounting in bulk via ConsumeSafe, and routes only the
-// at-risk operations after each safe run through the model's Fire/Corrupt
-// path.
+// the fault schedule instead: the Unit's safe counter holds how many
+// upcoming operations are guaranteed fault-free (the run the model's last
+// Step returned), so between faults a kernel runs a plain tight Go loop
+// with no per-element dispatch, charges FLOP and energy accounting in
+// bulk, spends the counter in one subtraction, and routes only the at-risk
+// operation after each safe run through the model's Step/Corrupt path.
 //
 // Every kernel is bit-identical to the equivalent scalar-method loop under
 // the same model seed: same operation order, same per-operation
 // single-precision rounding, same LFSR draws, same flipped bits, and the
-// same FLOP, per-op, and fault counters — the FaultModel contract requires
-// exactly this scalar/batched indistinguishability of every model. The
-// only permitted divergence is the energy accumulator, which is charged as
-// opEnergy×n in one step rather than by n repeated additions and may
-// therefore differ from the scalar path in the last ulp when opEnergy is
-// not exactly representable.
+// same FLOP, per-op, and fault counters. This holds for every model by
+// construction: scalar ops spend the same counter one operation at a time
+// and reach the model through the same Step calls. The only permitted
+// divergence is the energy accumulator, which is charged as opEnergy×n in
+// one step rather than by n repeated additions and may therefore differ
+// from the scalar path in the last ulp when opEnergy is not exactly
+// representable.
 //
 // The explicit float64 conversions around products in the tight loops are
 // load-bearing: they force the product to round separately from the
@@ -28,10 +29,7 @@ package fpu
 // otherwise break bit-compatibility with the scalar path on architectures
 // where the compiler fuses.
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // ErrKernelLen is the panic value for kernel operand length mismatches,
 // mirroring linalg.ErrShape (which fpu cannot import) as an inspectable
@@ -54,36 +52,37 @@ func (u *Unit) chargePair(op1, op2 Op, n int) {
 }
 
 // soloRun returns how many single-operation elements can run fault-free,
-// capped at rem, and consumes their operations from the fault schedule.
-// When the return value is less than rem, the next operation is at risk
-// and must go through injectOp.
+// capped at rem, and spends their operations from the safe counter. When
+// the return value is less than rem, the next operation is at risk and
+// must go through injectOp.
 func (u *Unit) soloRun(rem int) int {
 	if u.model == nil {
 		return rem
 	}
-	safe := u.model.SafeOps()
-	if safe >= uint64(rem) {
-		u.model.ConsumeSafe(uint64(rem))
+	if u.safe >= uint64(rem) {
+		u.safe -= uint64(rem)
 		return rem
 	}
-	u.model.ConsumeSafe(safe)
-	return int(safe)
+	run := int(u.safe)
+	u.safe = 0
+	return run
 }
 
 // pairRun is soloRun for elements costing two operations each. When the
 // return value is less than rem, the next element spans an at-risk
-// operation.
+// operation (its first operation may still be safe: an odd counter leaves
+// one over for injectOp to spend).
 func (u *Unit) pairRun(rem int) int {
 	if u.model == nil {
 		return rem
 	}
-	safe := u.model.SafeOps() / 2
-	if safe >= uint64(rem) {
-		u.model.ConsumeSafe(2 * uint64(rem))
+	pairs := u.safe / 2
+	if pairs >= uint64(rem) {
+		u.safe -= 2 * uint64(rem)
 		return rem
 	}
-	u.model.ConsumeSafe(2 * safe)
-	return int(safe)
+	u.safe -= 2 * pairs
+	return int(pairs)
 }
 
 // injectOp mirrors commit's rounding, NaN canonicalization, and injection
@@ -103,15 +102,11 @@ func (u *Unit) injectOp(op Op, flop uint64, v float64) float64 {
 	if v != v {
 		v = canonNaN
 	}
-	if u.model.Fire() {
-		u.faults++
-		raw := v
-		v = u.model.Corrupt(v)
-		if u.obs != nil {
-			u.obs.FaultInjected(op, flop, math.Float64bits(raw)^math.Float64bits(v))
-		}
+	if u.safe > 0 {
+		u.safe--
+		return v
 	}
-	return v
+	return u.atRisk(op, flop, v)
 }
 
 // fix is the tight-loop counterpart of commit's NaN canonicalization: every

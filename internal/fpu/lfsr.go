@@ -23,13 +23,12 @@ func NewLFSR(seed uint64) *LFSR {
 	return &LFSR{state: seed}
 }
 
-// Next advances the register once and returns the new 64-bit state.
+// Next advances the register once and returns the new 64-bit state. The
+// feedback is applied branch-free: -(state&1) is all ones when the low bit
+// is set and zero otherwise, so it masks the taps in or out without a
+// branch on a random bit.
 func (l *LFSR) Next() uint64 {
-	lsb := l.state & 1
-	l.state >>= 1
-	if lsb != 0 {
-		l.state ^= lfsrTaps
-	}
+	l.state = l.state>>1 ^ -(l.state&1)&lfsrTaps
 	return l.state
 }
 

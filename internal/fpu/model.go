@@ -6,16 +6,23 @@ package fpu
 // flips — the paper's FPGA injector); internal/fpu/faultmodel adds
 // significance-stratified, burst/correlated, and memory-resident variants.
 //
-// The contract has two halves. The scalar half mirrors the hardware:
-// Fire accounts one committed operation against the fault schedule and
-// reports whether its result is corrupted; Corrupt then produces the faulty
-// word. The batched half keeps the kernel fast path: SafeOps reports how
-// many upcoming operations are guaranteed fault-free, and ConsumeSafe
-// accounts a block of them in one step. A model must make the two halves
-// indistinguishable — for any op stream, routing n ops through Fire must
-// leave the model in exactly the state of ConsumeSafe over the safe prefix
-// plus Fire at the at-risk op. That equivalence is what makes the batched
-// kernels bit-identical to the scalar methods under every model.
+// The schedule is advanced through one method. Step accounts one at-risk
+// operation, reports whether its result is corrupted (Corrupt then
+// produces the faulty word), and returns the length of the guaranteed
+// fault-free run that follows, which it consumes in the same call. The
+// Unit holds that run in its own counter and spends it one operation at a
+// time on the scalar path, or in blocks in the batched kernels, so a model
+// is consulted only when the counter reaches zero: a fault-free operation
+// costs no interface call under any model. Because scalar ops and kernels
+// spend the same counter and reach the model through the same Step calls,
+// the batched kernels are bit-identical to the scalar methods under every
+// model by construction.
+//
+// Handing out a safe run must not move randomness forward in time. Corrupt
+// draws for the hit operation after Step returns, so a draw that belongs
+// to the end of the safe run (the burst model's next window length) waits
+// for the next Step; drawing it eagerly would reorder the model's LFSR
+// stream.
 //
 // Models are not safe for concurrent use; like a Unit, each worker owns its
 // own instance.
@@ -27,19 +34,16 @@ type FaultModel interface {
 	Rate() float64
 	// Injected returns how many faults the model has delivered.
 	Injected() uint64
-	// Fire accounts one operation against the fault schedule and reports
-	// whether that operation's result is corrupted.
-	Fire() bool
+	// Step accounts one operation against the fault schedule, reports
+	// whether that operation's result is corrupted, and consumes and
+	// returns the number of operations after it that are guaranteed
+	// fault-free (math.MaxUint64 for a schedule that never fires). The
+	// operation after the safe run is merely at risk: the next Step may
+	// still report false (burst windows corrupt probabilistically).
+	Step() (hit bool, safe uint64)
 	// Corrupt returns the corrupted form of v. It is called only after
-	// Fire reported true for the operation producing v.
+	// Step reported a hit for the operation producing v.
 	Corrupt(v float64) float64
-	// SafeOps returns how many upcoming operations are guaranteed
-	// fault-free. The operation after the safe run is merely at risk: it
-	// must still be routed through Fire, which may report false (burst
-	// windows corrupt probabilistically).
-	SafeOps() uint64
-	// ConsumeSafe accounts n fault-free operations, n <= SafeOps().
-	ConsumeSafe(n uint64)
 }
 
 // MemoryFaulter is implemented by fault models that corrupt stored data
