@@ -273,6 +273,9 @@ func runCampaign(ctx context.Context, dir, id string, cfg figures.Config) (table
 		}
 		return nil, err
 	}
+	if err := st.Canonicalize(); err != nil {
+		return nil, err
+	}
 	return exec.Table(), nil
 }
 

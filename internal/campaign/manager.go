@@ -500,6 +500,14 @@ func (m *Manager) run(ctx context.Context, h *handle, done chan struct{}) {
 	} else {
 		err = exec.Run(ctx)
 	}
+	if err == nil {
+		// Done means every trial is recorded: put the store in canonical
+		// order before anyone can see the terminal state. A failed rewrite
+		// leaves the append-ordered store intact, and Resume retries it.
+		if cerr := exec.st.Canonicalize(); cerr != nil {
+			err = fmt.Errorf("campaign: canonicalize store: %w", cerr)
+		}
+	}
 	switch {
 	case err == nil:
 		h.finish(StateDone, nil)

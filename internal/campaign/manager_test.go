@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -108,5 +111,34 @@ func TestShutdownReportsFailedStoreClose(t *testing.T) {
 	h.mu.Unlock()
 	if m.Shutdown(5 * time.Second) {
 		t.Fatal("Shutdown reported a clean shutdown despite a failed store close")
+	}
+}
+
+// TestDoneStoreIndependentOfWorkers pins the canonical terminal store: a
+// completed campaign's trials.jsonl is byte-identical whether its trials
+// ran on one worker or finished out of order on several.
+func TestDoneStoreIndependentOfWorkers(t *testing.T) {
+	var stores [][]byte
+	for _, workers := range []int{1, 4} {
+		root := t.TempDir()
+		m := newManager(t, root, 1)
+		spec := quickSpec(0.5, 11, 40)
+		spec.Workers = workers
+		id, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Wait(id); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		b, err := os.ReadFile(filepath.Join(root, id, storeFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, b)
+	}
+	if !bytes.Equal(stores[0], stores[1]) {
+		t.Errorf("done store depends on worker count:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", stores[0], stores[1])
 	}
 }

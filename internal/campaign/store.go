@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"robustify/internal/fsutil"
@@ -182,6 +183,88 @@ func (st *Store) Put(rec Record) (added bool, err error) {
 	}
 	st.have[key] = rec.Value
 	return true, nil
+}
+
+// Canonicalize rewrites the store in (unit, rate, trial) order, one
+// re-marshalled record per key, through an atomic replace. Live stores
+// are in completion order, which depends on worker scheduling; a
+// completed campaign is canonicalized so that its store is byte-identical
+// across worker counts, telemetry on or off, resumes, and local or fleet
+// execution. Lines that do not parse are dropped, as Open drops them.
+// The store stays open for appends afterwards.
+//
+//lint:durable the rewrite replaces the resume identity; a dropped error leaves it unverified
+func (st *Store) Canonicalize() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.f == nil {
+		return fmt.Errorf("campaign: canonicalize %s: store closed", st.dir)
+	}
+	if err := st.w.Flush(); err != nil {
+		return err
+	}
+	path := filepath.Join(st.dir, storeFile)
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	recs := make(map[trialKey]Record, len(st.have))
+	r := bufio.NewReaderSize(f, 64*1024)
+	for {
+		line, tooLong, rerr := readLine(r)
+		if len(line) > 0 && !tooLong {
+			var rec Record
+			if json.Unmarshal(line, &rec) == nil {
+				recs[trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}] = rec
+			}
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			//lint:errdurability-exempt read-only handle; the read error is what the caller must see
+			f.Close()
+			return rerr
+		}
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	keys := make([]trialKey, 0, len(recs))
+	for k := range recs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.unit != b.unit {
+			return a.unit < b.unit
+		}
+		if a.rateIdx != b.rateIdx {
+			return a.rateIdx < b.rateIdx
+		}
+		return a.trialIdx < b.trialIdx
+	})
+	var buf []byte
+	for _, k := range keys {
+		line, err := json.Marshal(recs[k])
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, line...), '\n')
+	}
+	if err := fsutil.WriteFileAtomic(path, buf, 0o644); err != nil {
+		return err
+	}
+	// The old handle points at the replaced file; appends must go to the
+	// new one. Should the reopen fail, later appends fail on the closed
+	// handle instead of landing in an unlinked file.
+	cerr := st.f.Close()
+	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	st.f, st.w = nf, bufio.NewWriter(nf)
+	return cerr
 }
 
 // Lookup returns the recorded value for a trial key of one unit.

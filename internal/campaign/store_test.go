@@ -151,3 +151,70 @@ func TestStoreSpecRoundTrip(t *testing.T) {
 		t.Errorf("spec round trip = %+v, want %+v", got, spec)
 	}
 }
+
+// TestStoreCanonicalize pins the terminal rewrite: records come back in
+// (unit, rate, trial) order whatever order they were appended in, a
+// garbage line is dropped, and the store keeps taking appends afterwards.
+func TestStoreCanonicalize(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []Record{
+		{Unit: 1, RateIdx: 0, TrialIdx: 0, Rate: 0.5, Seed: 4, Value: 4},
+		{Unit: 0, RateIdx: 1, TrialIdx: 2, Rate: 0.2, Seed: 3, Value: 3},
+		{Unit: 0, RateIdx: 1, TrialIdx: 0, Rate: 0.2, Seed: 2, Value: 2},
+		{Unit: 0, RateIdx: 0, TrialIdx: 1, Rate: 0.1, Seed: 1, Value: 1},
+	}
+	for _, r := range in {
+		if err := st.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeFile)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("not json\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	late := Record{Unit: 0, RateIdx: 0, TrialIdx: 0, Rate: 0.1, Seed: 0, Value: 0}
+	if err := st.Append(late); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"u":0,"r":0,"t":1,"rate":0.1,"seed":1,"v":1}
+{"u":0,"r":1,"t":0,"rate":0.2,"seed":2,"v":2}
+{"u":0,"r":1,"t":2,"rate":0.2,"seed":3,"v":3}
+{"u":1,"r":0,"t":0,"rate":0.5,"seed":4,"v":4}
+{"u":0,"r":0,"t":0,"rate":0.1,"seed":0,"v":0}
+`
+	if string(b) != want {
+		t.Errorf("store after canonicalize + append:\n%s\nwant:\n%s", b, want)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind: %v", err)
+	}
+}
