@@ -21,7 +21,18 @@ package fpu
 // divergence is the energy accumulator, which is charged as opEnergy×n in
 // one step rather than by n repeated additions and may therefore differ
 // from the scalar path in the last ulp when opEnergy is not exactly
-// representable.
+// representable. Each kernel call charges once, and Gemv charges once per
+// row, as its per-row Dot calls would.
+//
+// Two rules shorten the critical path of the double-precision reductions
+// (Dot, DotRev, Gemv), one serial add chain per row. First, their safe-run
+// loops canonicalize NaN once per safe run, on the finished sum, instead
+// of per element (see fix). Second, when the safe counter covers four
+// whole Gemv rows, those rows run as four interleaved dot products: four
+// independent add chains in place of one. Each chain adds in Dot's order
+// and fault-free arithmetic does not depend on how independent operations
+// interleave, so the bits are Dot's. Single precision, the elementwise
+// kernels and Sum keep the per-element form.
 //
 // The explicit float64 conversions around products in the tight loops are
 // load-bearing: they force the product to round separately from the
@@ -110,13 +121,17 @@ func (u *Unit) injectOp(op Op, flop uint64, v float64) float64 {
 }
 
 // fix is the tight-loop counterpart of commit's NaN canonicalization: every
-// per-element result a kernel stores while a fault model is installed must
-// collapse NaNs to canonNaN, exactly as the scalar methods do, or the two
-// paths diverge on the first ambiguous-payload NaN (see canonNaN). The
-// v != v test is false for all non-NaN values, so the branch costs one
-// predictable compare per element.
+// result a kernel stores while a fault model is installed must collapse
+// NaNs to canonNaN, exactly as the scalar methods do, or the two paths
+// diverge on the first ambiguous-payload NaN (see canonNaN). The
+// elementwise kernels, Sum and the single-precision loops call it per
+// element. The double-precision reductions (Dot, DotRev, Gemv's four-row
+// blocks) call it once per safe run, on the finished sum: NaN is sticky
+// under addition, so a sum that ends non-NaN never held one, and a sum
+// that ends NaN is canonNaN either way. A nil unit is reliable and is
+// left raw.
 func (u *Unit) fix(v float64) float64 {
-	if v != v && u.model != nil {
+	if v != v && u != nil && u.model != nil {
 		return canonNaN
 	}
 	return v
@@ -147,8 +162,9 @@ func (u *Unit) Dot(a, b []float64) float64 {
 			}
 		} else {
 			for ; i < run; i++ {
-				s = u.fix(s + float64(a[i]*b[i]))
+				s += float64(a[i] * b[i])
 			}
+			s = u.fix(s)
 		}
 		if i < n {
 			at := base + 2*uint64(i)
@@ -185,8 +201,9 @@ func (u *Unit) DotRev(a, b []float64) float64 {
 			}
 		} else {
 			for ; i < run; i++ {
-				s = u.fix(s + float64(a[i]*b[n-1-i]))
+				s += float64(a[i] * b[n-1-i])
 			}
+			s = u.fix(s)
 		}
 		if i < n {
 			at := base + 2*uint64(i)
@@ -393,15 +410,63 @@ func (u *Unit) SubVec(a, b, dst []float64) {
 	}
 }
 
-// Gemv sets dst ← A·x for the row-major rows×cols matrix a, one batched
-// Dot per row. Bit-identical to the scalar per-row dot loops.
+// Gemv sets dst ← A·x for the row-major rows×cols matrix a, bit-identical
+// to the scalar per-row dot loops. Four rows whose operations the safe
+// counter covers run as one block of four interleaved dot products (see
+// take4); every other row is one batched Dot.
 func (u *Unit) Gemv(a []float64, rows, cols int, x, dst []float64) {
 	if len(a) != rows*cols || len(x) != cols || len(dst) != rows {
 		panic(ErrKernelLen)
 	}
-	for i := 0; i < rows; i++ {
+	for i := 0; i < rows; {
+		if i+4 <= rows && u.take4(cols) {
+			s0, s1, s2, s3 := dot4(a[i*cols:(i+4)*cols], x)
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = u.fix(s0), u.fix(s1), u.fix(s2), u.fix(s3)
+			i += 4
+			continue
+		}
 		dst[i] = u.Dot(a[i*cols:(i+1)*cols], x)
+		i++
 	}
+}
+
+// take4 reports whether the next four cols-wide Gemv rows can run as one
+// fault-free double-precision block. If so it charges their accounting
+// row by row, as four Dot calls would, and spends their operations from
+// the safe counter.
+func (u *Unit) take4(cols int) bool {
+	if u == nil {
+		return true
+	}
+	if u.single {
+		return false
+	}
+	if u.model != nil {
+		need := 8 * uint64(cols)
+		if u.safe < need {
+			return false
+		}
+		u.safe -= need
+	}
+	for r := 0; r < 4; r++ {
+		u.chargePair(OpMul, OpAdd, cols)
+	}
+	return true
+}
+
+// dot4 returns the dot products of x with the four consecutive len(x)-wide
+// rows of a. Each sum runs in Dot's order, so the results are Dot's bits;
+// the four independent add chains interleave.
+func dot4(a, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	r0, r1, r2, r3 := a[:n], a[n:][:n], a[2*n:][:n], a[3*n:][:n]
+	for j, xj := range x {
+		s0 += float64(r0[j] * xj)
+		s1 += float64(r1[j] * xj)
+		s2 += float64(r2[j] * xj)
+		s3 += float64(r3[j] * xj)
+	}
+	return s0, s1, s2, s3
 }
 
 // Norm2 returns ‖x‖₂, bit-identical to u.Sqrt of the scalar dot loop.

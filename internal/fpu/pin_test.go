@@ -1,6 +1,7 @@
 package fpu
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -115,5 +116,64 @@ func checkPinnedOpStream(t *testing.T, u *Unit, rec *streamObserver) {
 		if uint64(faults) != wantInjected {
 			t.Errorf("observer saw %d fault events, want %d", faults, wantInjected)
 		}
+	}
+}
+
+// TestGemvOpStreamPinned freezes Gemv's exact behavior under the default
+// model: outputs, counters and the energy accumulator of back-to-back
+// products over lp/apsp's 32×20 shape, a row count that is not a multiple
+// of 4, a one-column block, and a square block, alternating finite data
+// with rows that end in NaN or ±Inf. The constants were captured from the
+// per-row Dot Gemv, before rows were blocked by four.
+func TestGemvOpStreamPinned(t *testing.T) {
+	checkPinnedGemvStream(t, New(WithFaultRate(0.002, 99), WithOpEnergy(1.0/3)), nil)
+}
+
+// TestGemvOpStreamPinnedWithObserver replays the pinned Gemv stream with
+// an Observer attached, which must change nothing.
+func TestGemvOpStreamPinnedWithObserver(t *testing.T) {
+	rec := &streamObserver{}
+	checkPinnedGemvStream(t, New(WithFaultRate(0.002, 99), WithOpEnergy(1.0/3), WithObserver(rec)), rec)
+}
+
+func checkPinnedGemvStream(t *testing.T, u *Unit, rec *streamObserver) {
+	t.Helper()
+	shapes := [][2]int{{32, 20}, {13, 20}, {4, 1}, {16, 16}}
+	h := fnv.New64a()
+	var buf [8]byte
+	for call := 0; call < 40; call++ {
+		rows, cols := shapes[call%len(shapes)][0], shapes[call%len(shapes)][1]
+		a, x := testVec(rows*cols, uint64(call)), testVec(cols, uint64(call)+1)
+		if call%2 == 1 {
+			a, x = specialGemv(rows, cols, uint64(call))
+		}
+		dst := make([]float64, rows)
+		u.Gemv(a, rows, cols, x, dst)
+		for _, v := range dst {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+
+	const (
+		wantHash   = uint64(0x9be0543fce45ef01)
+		wantFLOPs  = uint64(23200)
+		wantFaults = uint64(53)
+		wantEnergy = uint64(0x40be355555555537)
+	)
+	if got := h.Sum64(); got != wantHash {
+		t.Errorf("Gemv stream hash = %#x, want %#x", got, wantHash)
+	}
+	if got := u.FLOPs(); got != wantFLOPs {
+		t.Errorf("FLOPs = %d, want %d", got, wantFLOPs)
+	}
+	if got := u.Faults(); got != wantFaults {
+		t.Errorf("Faults = %d, want %d", got, wantFaults)
+	}
+	if got := math.Float64bits(u.Energy()); got != wantEnergy {
+		t.Errorf("Energy bits = %#x, want %#x", got, wantEnergy)
+	}
+	if rec != nil && uint64(len(rec.events)) != wantFaults {
+		t.Errorf("observer saw %d events, want %d", len(rec.events), wantFaults)
 	}
 }
